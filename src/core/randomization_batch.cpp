@@ -363,14 +363,14 @@ void solve_randomization_batch(std::span<const RandBatchItem> items,
       // lending the pool for row-partitioned products as the sweep
       // engine's small-batch path does.
       const RandBatchItem& item = items[g.members.front()];
-      ThreadPool* const saved = ws.spmv_pool;
-      ws.spmv_pool = pool != nullptr ? pool : saved;
+      ThreadPool* const saved = ws.pool;
+      ws.pool = pool != nullptr ? pool : saved;
       try {
         *item.report = item.solver->solve_grid(*item.request, ws);
       } catch (const std::exception& e) {
         fail(item, e.what());
       }
-      ws.spmv_pool = saved;
+      ws.pool = saved;
       continue;
     }
     if (const auto* sr =

@@ -557,7 +557,7 @@ void solve_rr_batch(std::span<const RrBatchItem> items, ThreadPool* pool) {
   // the execute phase is shared work (that is the point of batching) — so
   // a member reports its group's compile time plus the joint execute
   // elapsed; summing seconds across members of a batch over-counts, just
-  // as summing the per-point seconds of one OpenMP RRL sweep does.
+  // as summing the per-point seconds of one pooled RRL sweep does.
   const double execute_seconds = execute_watch.seconds();
   for (VGroup& g : groups) {
     for (std::size_t k = 0; k < g.members.size(); ++k) {

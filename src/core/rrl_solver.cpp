@@ -7,6 +7,7 @@
 #include "markov/poisson.hpp"
 #include "support/stopwatch.hpp"
 #include "support/thread_pool.hpp"
+#include "support/trace.hpp"
 
 namespace rrl {
 
@@ -21,6 +22,10 @@ RegenerativeRandomizationLaplace::RegenerativeRandomizationLaplace(
       options_(options) {
   RRL_EXPECTS(options_.epsilon > 0.0);
   RRL_EXPECTS(options_.t_multiplier > 0.0);
+  // Checked here so a bad option fails at construction, not inside the
+  // per-point inversion loop.
+  RRL_EXPECTS(options_.max_terms > CrumpOptions{}.min_terms);
+  RRL_EXPECTS(options_.required_hits >= 1);
   RRL_EXPECTS(static_cast<index_t>(rewards_.size()) == chain.num_states());
   check_distribution(initial_, chain.num_states());
   r_max_ = max_reward(rewards_);
@@ -179,7 +184,7 @@ RegenerativeRandomizationLaplace::mrr_bounds(double t) const {
 }
 
 SolveReport RegenerativeRandomizationLaplace::solve_grid(
-    const SolveRequest& request, SolveWorkspace& /*workspace*/) const {
+    const SolveRequest& request, SolveWorkspace& workspace) const {
   const Stopwatch watch;
   const double eps = validated_epsilon(request, options_.epsilon);
   const std::size_t m = request.times.size();
@@ -215,16 +220,13 @@ SolveReport RegenerativeRandomizationLaplace::solve_grid(
   const RegenerativeSchema& sch = compiled->schema;
   const TrrTransform& transform = *compiled->transform;
 
-  // The inversions are independent per time point and read the transform
-  // through const methods only — an embarrassingly parallel loop. Inside a
-  // sweep-engine worker the scenario level already owns the cores, so the
-  // loop stays serial there instead of oversubscribing.
-  const auto n = static_cast<std::int64_t>(m);
-  const bool nested = ThreadPool::in_parallel_region();
-  (void)nested;  // only read by the pragma; unused when OpenMP is off
-#pragma omp parallel for schedule(dynamic) if (n > 2 && !nested)
-  for (std::int64_t j = 0; j < n; ++j) {
-    const std::size_t i = static_cast<std::size_t>(j);
+  // The inversions are independent per time point, read the transform
+  // through const methods only and each write their own slot, so they fan
+  // out over the lent pool when there is one and run serially otherwise;
+  // the values do not depend on which. The pool is the caller's whole
+  // thread budget: inside another parallel_for (a sweep worker) the call
+  // runs inline, and without a lent pool the solve starts no thread.
+  const auto invert_point = [&](std::size_t i) {
     const Stopwatch point_watch;
     const double t = request.times[i];
     if (t == 0.0) {
@@ -237,6 +239,14 @@ SolveReport RegenerativeRandomizationLaplace::solve_grid(
     report.points[i].stats.lambda = sch.lambda;
     report.points[i].stats.capped = sch.capped;
     report.points[i].stats.seconds = point_watch.seconds();
+  };
+  {
+    const trace::Span span("laplace.invert", m);
+    if (workspace.pool != nullptr) {
+      workspace.pool->parallel_for(m, invert_point);
+    } else {
+      for (std::size_t i = 0; i < m; ++i) invert_point(i);
+    }
   }
 
   report.total.dtmc_steps = sch.dtmc_steps();
@@ -263,9 +273,8 @@ std::vector<TransientValue> RegenerativeRandomizationLaplace::solve_many(
 
   // Legacy attribution: the shared schema cost is carried by the first
   // entry only. The first entry's seconds are raised so the sum over
-  // entries reaches the sweep's wall-clock total; under OpenMP the
-  // per-point timers overlap and already exceed it, in which case the
-  // first entry keeps its own inversion time unchanged.
+  // entries reaches the sweep's wall-clock total (no pool is lent here, so
+  // the per-point timers never overlap and the sum stays below it).
   double other_seconds = 0.0;
   for (std::size_t i = 1; i < report.points.size(); ++i) {
     other_seconds += report.points[i].stats.seconds;

@@ -45,7 +45,9 @@ struct RrlOptions {
 /// RRL solver bound to one model + measure.
 class RegenerativeRandomizationLaplace : public TransientSolver {
  public:
-  /// Preconditions: same as RegenerativeRandomization.
+  /// Preconditions: same as RegenerativeRandomization, plus
+  /// options.max_terms > CrumpOptions::min_terms and
+  /// options.required_hits >= 1.
   RegenerativeRandomizationLaplace(const Ctmc& chain,
                                    std::vector<double> rewards,
                                    std::vector<double> initial,
@@ -68,9 +70,10 @@ class RegenerativeRandomizationLaplace : public TransientSolver {
   /// numerical inversion per point (the dominant K model-sized DTMC steps
   /// are paid once for the whole grid). Valid because the truncation bound
   /// is decreasing in K for every fixed t, so the K(t_max) series
-  /// over-covers smaller t. (The inversions work on schema-sized series,
-  /// not model-sized vectors, so RRL has no use for the workspace buffers;
-  /// the parameter exists for the uniform concurrent-sweep contract.)
+  /// over-covers smaller t. The per-point inversions fan out over
+  /// `workspace.pool` when one is lent and run serially otherwise, with
+  /// bit-identical values either way. (They work on schema-sized series,
+  /// not model-sized vectors, so RRL has no use for the workspace buffers.)
   using TransientSolver::solve_grid;
   [[nodiscard]] SolveReport solve_grid(
       const SolveRequest& request, SolveWorkspace& workspace) const override;
@@ -101,10 +104,9 @@ class RegenerativeRandomizationLaplace : public TransientSolver {
   /// Legacy batch entry points, now thin wrappers over solve_grid(). They
   /// keep the historical stats attribution: the shared schema cost (steps
   /// and seconds) is carried by the FIRST entry only, so callers summing
-  /// stats across entries get the true total. (When the inversions run
-  /// under OpenMP the per-point timers overlap, so the summed seconds may
-  /// overstate the sweep's wall-clock time; the first entry still absorbs
-  /// at least the schema share.) Precondition: ts non-empty, all > 0.
+  /// stats across entries get the true total. (These wrappers lend no pool,
+  /// so the inversions run serially and the summed seconds equal the
+  /// sweep's wall-clock time.) Precondition: ts non-empty, all > 0.
   [[nodiscard]] std::vector<TransientValue> trr_many(
       std::span<const double> ts) const;
   [[nodiscard]] std::vector<TransientValue> mrr_many(

@@ -239,12 +239,12 @@ SweepReport run_sweep(const BatchRequest& batch, ThreadPool& pool,
 
   if (model_parallel) {
     SolveWorkspace& workspace = workspaces.front();
-    ThreadPool* const saved_pool = workspace.spmv_pool;
-    workspace.spmv_pool = &pool;
+    ThreadPool* const saved_pool = workspace.pool;
+    workspace.pool = &pool;
     for (const std::size_t i : rest) {
       solve_one(batch.scenarios[i], out.results[i], workspace);
     }
-    workspace.spmv_pool = saved_pool;
+    workspace.pool = saved_pool;
     out.seconds = watch.seconds();
     return out;
   }

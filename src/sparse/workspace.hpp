@@ -15,15 +15,19 @@
 // concurrent solve_grid() call must bring its OWN workspace (the sweep
 // engine keeps one per worker).
 //
-// The workspace also carries the OPTIONAL worker pool for row-partitioned
-// SpMV inside the solvers' hot loops (spmv_pool): when a batch has fewer
-// scenarios than workers, the sweep engine runs the scenarios serially and
-// points the workspace at the pool instead, so the idle workers go to the
-// model-sized matrix-vector products. Solvers consult pooled_spmv(), which
-// applies the nested-parallelism guard (never partition from inside a
-// parallel region — the scenario axis already owns the cores) and a
-// matrix-size floor (the per-step pool synchronization only pays for
-// itself on large models).
+// The workspace also carries the OPTIONAL borrowed worker pool (`pool`),
+// the only source of threads inside a solve: a solve given no pool runs on
+// the calling thread alone, so a process's thread budget is exactly the
+// pools it creates (rrl_solve --jobs). Two solver layers draw on it:
+// row-partitioned SpMV in the randomization hot loops, through
+// pooled_spmv(), which applies the nested-parallelism guard (never
+// partition from inside a parallel region — the scenario axis already owns
+// the cores) and a matrix-size floor (the per-step pool synchronization
+// only pays for itself on large models); and RRL's per-point inversions,
+// which fan out over the pool directly (a nested call runs inline). When a
+// batch has fewer scenarios than workers, the sweep engine runs the
+// scenarios serially and lends the pool here instead, so the idle workers
+// go to the solvers.
 // Buffers are allocated cache-line aligned (sparse/aligned_alloc.hpp): the
 // vector operands of the vectorized SpMV kernels then start on a 64-byte
 // boundary, so the kernels' (unaligned-instruction) loads and stores never
@@ -73,11 +77,12 @@ class SolveWorkspace {
   /// amortizes against models whose serial SpMV is at least comparable.
   static constexpr std::int64_t kMinPooledNnz = 32768;
 
-  /// Borrowed pool for row-partitioned SpMV in solver hot loops; nullptr
-  /// (the default) keeps every product serial. Set by the sweep engine's
-  /// small-batch path; callers driving solve_grid() directly may set it
-  /// too. The pool must outlive the solve.
-  ThreadPool* spmv_pool = nullptr;
+  /// Borrowed pool for the solve's parallel work (row-partitioned SpMV,
+  /// RRL's per-point inversions); nullptr (the default) keeps the whole
+  /// solve on the calling thread. Set by the sweep engine's small-batch
+  /// path and by rrl_solve's single-solve mode; callers driving
+  /// solve_grid() directly may set it too. The pool must outlive the solve.
+  ThreadPool* pool = nullptr;
 
   /// The pool to row-partition a product over, or nullptr to stay serial:
   /// requires a pool with real workers, a matrix of at least kMinPooledNnz
@@ -87,9 +92,9 @@ class SolveWorkspace {
   /// inline anyway). The pooled kernel is bit-identical to the serial one,
   /// so consulting this is purely a scheduling decision.
   [[nodiscard]] ThreadPool* pooled_spmv(std::int64_t nnz) const noexcept {
-    return (spmv_pool != nullptr && spmv_pool->num_threads() > 1 &&
+    return (pool != nullptr && pool->num_threads() > 1 &&
             nnz >= kMinPooledNnz && !ThreadPool::in_parallel_region())
-               ? spmv_pool
+               ? pool
                : nullptr;
   }
 

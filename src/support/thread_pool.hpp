@@ -83,10 +83,11 @@ class ThreadPool {
   /// True while the calling thread is executing parallel_for() work of a
   /// MULTI-threaded loop (a pool worker, or the caller participating as
   /// worker 0). Inner layers consult this to skip NESTED parallelism —
-  /// e.g. RRL's OpenMP inversion loop stays serial inside a sweep worker,
-  /// where scenario-level parallelism already owns the cores. A 1-thread
-  /// pool deliberately does not set it: there the cores belong to inner
-  /// layers.
+  /// e.g. pooled SpMV stays serial inside a sweep worker, where
+  /// scenario-level parallelism already owns the cores (a nested
+  /// parallel_for, such as RRL's point fan-out, runs inline anyway). A
+  /// 1-thread pool deliberately does not set it: there the cores belong to
+  /// inner layers.
   [[nodiscard]] static bool in_parallel_region() noexcept {
     return in_region_;
   }

@@ -1,14 +1,26 @@
 // Tests of the RRL extensions: rigorous bounds (the flavour of the paper's
-// reference [2]) and the batch multi-time-point API.
+// reference [2]), the batch multi-time-point API, and the grid loop's
+// thread budget (the per-point inversions run on a lent pool or serially,
+// with identical bits and exceptions surfacing as the API promises).
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <cstring>
+#include <filesystem>
+#include <iterator>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/rrl_solver.hpp"
 #include "core/standard_randomization.hpp"
 #include "models/raid5.hpp"
 #include "models/simple.hpp"
+#include "sparse/workspace.hpp"
 #include "support/contracts.hpp"
+#include "support/metrics.hpp"
+#include "support/thread_pool.hpp"
+#include "support/trace.hpp"
 
 namespace rrl {
 namespace {
@@ -122,6 +134,199 @@ TEST(RrlBounds, RejectsNonPositiveTime) {
   const RegenerativeRandomizationLaplace solver(m.chain, {0.0, 1.0},
                                                 {1.0, 0.0}, 0);
   EXPECT_THROW((void)solver.trr_bounds(0.0), contract_error);
+}
+
+// --- Thread budget of the grid loop -------------------------------------
+
+RegenerativeRandomizationLaplace raid_rrl(const Raid5Model& model) {
+  return RegenerativeRandomizationLaplace(
+      model.chain, model.failure_rewards(), model.initial_distribution(),
+      model.initial_state);
+}
+
+Raid5Model small_raid() {
+  Raid5Params p;
+  p.groups = 3;
+  return build_raid5_availability(p);
+}
+
+bool bitwise_equal(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// Values and every deterministic stat (everything but the timers) must
+/// match bit for bit.
+void expect_same_report(const SolveReport& a, const SolveReport& b) {
+  ASSERT_EQ(a.points.size(), b.points.size());
+  for (std::size_t i = 0; i < a.points.size(); ++i) {
+    const TransientValue& x = a.points[i];
+    const TransientValue& y = b.points[i];
+    EXPECT_TRUE(bitwise_equal(x.value, y.value)) << "point " << i;
+    EXPECT_EQ(x.stats.abscissae, y.stats.abscissae) << "point " << i;
+    EXPECT_EQ(x.stats.inversion_converged, y.stats.inversion_converged);
+    EXPECT_EQ(x.stats.dtmc_steps, y.stats.dtmc_steps);
+    EXPECT_TRUE(bitwise_equal(x.stats.lambda, y.stats.lambda));
+    EXPECT_EQ(x.stats.capped, y.stats.capped);
+  }
+  EXPECT_EQ(a.total.abscissae, b.total.abscissae);
+  EXPECT_EQ(a.total.dtmc_steps, b.total.dtmc_steps);
+  EXPECT_EQ(a.total.inversion_converged, b.total.inversion_converged);
+}
+
+std::vector<SolveRequest> both_measures() {
+  // TRR's grid includes t = 0, answered without a transform.
+  return {SolveRequest::trr({0.0, 1.0, 10.0, 100.0, 1000.0, 1e4}),
+          SolveRequest::mrr({1.0, 10.0, 100.0, 1000.0, 1e4})};
+}
+
+TEST(RrlThreadBudget, PooledSerialAndNestedReportsAreBitwiseEqual) {
+  const auto model = small_raid();
+  const auto solver = raid_rrl(model);
+  ThreadPool pool(4);
+  ThreadPool outer(2);
+  for (const SolveRequest& request : both_measures()) {
+    SolveWorkspace serial_ws;
+    const SolveReport serial = solver.solve_grid(request, serial_ws);
+
+    SolveWorkspace pooled_ws;
+    pooled_ws.pool = &pool;
+    const SolveReport pooled = solver.solve_grid(request, pooled_ws);
+    expect_same_report(serial, pooled);
+
+    // Called from inside another pool's parallel_for, the lent pool's
+    // fan-out runs inline on each outer worker.
+    std::vector<SolveReport> nested(2);
+    std::vector<SolveWorkspace> nested_ws(2);
+    outer.parallel_for(nested.size(), [&](std::size_t k) {
+      nested_ws[k].pool = &pool;
+      nested[k] = solver.solve_grid(request, nested_ws[k]);
+    });
+    for (const SolveReport& r : nested) expect_same_report(serial, r);
+  }
+}
+
+/// Threads of this process, or -1 when /proc is not mounted.
+long thread_count() {
+  const std::filesystem::path tasks = "/proc/self/task";
+  std::error_code ec;
+  if (!std::filesystem::is_directory(tasks, ec)) return -1;
+  return static_cast<long>(std::distance(
+      std::filesystem::directory_iterator(tasks, ec),
+      std::filesystem::directory_iterator()));
+}
+
+void solve_both_unpooled(const RegenerativeRandomizationLaplace& solver) {
+  for (const SolveRequest& request : both_measures()) {
+    SolveWorkspace workspace;
+    (void)solver.solve_grid(request, workspace);
+  }
+}
+
+TEST(RrlThreadBudget, NoLentPoolRunsNoPoolLoop) {
+  const auto model = small_raid();
+  const auto solver = raid_rrl(model);
+  auto& loops = metrics::counter("rrl_pool_loops_total");
+  const std::uint64_t loops_before = loops.value();
+  solve_both_unpooled(solver);
+  EXPECT_EQ(loops.value(), loops_before);
+}
+
+TEST(RrlThreadBudget, NoLentPoolStartsNoThread) {
+  if (thread_count() < 0) GTEST_SKIP() << "/proc/self/task not available";
+  const auto model = small_raid();
+  const auto solver = raid_rrl(model);
+  // Threads are counted in a fresh process (the threadsafe death-test
+  // style re-executes the binary and runs only this test): a runtime that
+  // keeps its workers alive after its first parallel region, as OpenMP's
+  // did, would otherwise be hidden by any earlier solve in this one.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        const long before = thread_count();
+        solve_both_unpooled(solver);
+        std::exit(thread_count() == before ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+}
+
+TEST(RrlThreadBudget, LentPoolRunsOneLoopPerGrid) {
+  const auto model = small_raid();
+  const auto solver = raid_rrl(model);
+  ThreadPool pool(4);
+  SolveWorkspace workspace;
+  workspace.pool = &pool;
+  auto& loops = metrics::counter("rrl_pool_loops_total");
+  auto& indices = metrics::counter("rrl_pool_indices_total");
+  const std::uint64_t loops_before = loops.value();
+  const std::uint64_t indices_before = indices.value();
+  (void)solver.solve_grid(SolveRequest::trr({1.0, 10.0, 100.0}), workspace);
+  EXPECT_EQ(loops.value() - loops_before, 1u);
+  EXPECT_EQ(indices.value() - indices_before, 3u);
+}
+
+TEST(RrlThreadBudget, OneInvertSpanPerGridWithPointCount) {
+  const auto model = small_raid();
+  const auto solver = raid_rrl(model);
+  ThreadPool pool(4);
+  SolveWorkspace workspace;
+  workspace.pool = &pool;
+  trace::reset();
+  trace::enable();
+  (void)solver.solve_grid(
+      SolveRequest::mrr({1.0, 10.0, 100.0, 1000.0, 1e4}), workspace);
+  trace::disable();
+  std::ostringstream out;
+  (void)trace::write_chrome_trace(out);
+  trace::reset();
+  const std::string json = out.str();
+  const std::string name = "\"name\":\"laplace.invert\"";
+  const std::size_t at = json.find(name);
+  ASSERT_NE(at, std::string::npos);
+  EXPECT_EQ(json.find(name, at + 1), std::string::npos) << json;
+  const std::size_t end = json.find('}', json.find("\"args\":", at));
+  EXPECT_NE(json.substr(at, end - at).find("\"v\":5"), std::string::npos)
+      << json;
+}
+
+TEST(RrlOptionsCheck, RejectsCrumpBoundsAtConstruction) {
+  // max_terms = 1 used to reach the inversions and throw inside the grid
+  // loop; it is now rejected up front, as is a non-positive hit count.
+  const auto m = make_two_state(1e-3, 1.0);
+  const auto build = [&](RrlOptions opt) {
+    return RegenerativeRandomizationLaplace(m.chain, {0.0, 1.0}, {1.0, 0.0},
+                                            0, opt);
+  };
+  EXPECT_THROW((void)build({.max_terms = 1}), contract_error);
+  EXPECT_THROW((void)build({.max_terms = CrumpOptions{}.min_terms}),
+               contract_error);
+  EXPECT_THROW((void)build({.required_hits = 0}), contract_error);
+  EXPECT_NO_THROW((void)build({.max_terms = CrumpOptions{}.min_terms + 1}));
+}
+
+TEST(RrlThreadBudget, FailingInversionThrowsFromEveryLoop) {
+  // At eps = 1e-322 Crump's series tolerance eps/100 underflows to zero,
+  // which crump_invert rejects: every TRR inversion throws inside the grid
+  // loop. The error must surface as contract_error from solve_grid —
+  // serially, across a lent pool and nested — never end the process.
+  const auto m = make_two_state(1e-3, 1.0);
+  const RegenerativeRandomizationLaplace solver(m.chain, {0.0, 1.0},
+                                                {1.0, 0.0}, 0);
+  SolveRequest request = SolveRequest::trr({1.0, 10.0, 100.0});
+  request.epsilon = 1e-322;
+  ThreadPool pool(4);
+  SolveWorkspace serial_ws;
+  EXPECT_THROW((void)solver.solve_grid(request, serial_ws), contract_error);
+  SolveWorkspace pooled_ws;
+  pooled_ws.pool = &pool;
+  EXPECT_THROW((void)solver.solve_grid(request, pooled_ws), contract_error);
+  ThreadPool outer(2);
+  EXPECT_THROW(outer.parallel_for(2,
+                                  [&](std::size_t) {
+                                    SolveWorkspace ws;
+                                    ws.pool = &pool;
+                                    (void)solver.solve_grid(request, ws);
+                                  }),
+               contract_error);
 }
 
 }  // namespace

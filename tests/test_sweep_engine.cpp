@@ -442,11 +442,11 @@ TEST(Workspace, PooledSpmvGuards) {
   EXPECT_EQ(workspace.pooled_spmv(1 << 20), nullptr);  // no pool
 
   ThreadPool single(1);
-  workspace.spmv_pool = &single;
+  workspace.pool = &single;
   EXPECT_EQ(workspace.pooled_spmv(1 << 20), nullptr);  // no real workers
 
   ThreadPool pool(2);
-  workspace.spmv_pool = &pool;
+  workspace.pool = &pool;
   EXPECT_EQ(workspace.pooled_spmv(SolveWorkspace::kMinPooledNnz - 1),
             nullptr);  // below the size floor
   EXPECT_EQ(workspace.pooled_spmv(SolveWorkspace::kMinPooledNnz), &pool);

@@ -1017,9 +1017,15 @@ int run_cli(const CliArgs& args, char** argv) {
     const auto solver = make_solver(solver_name, model.chain, model.rewards,
                                     model.initial, config);
 
+    // One solve owns the machine: lend it a pool of one thread per
+    // hardware thread (RRL's per-point inversions, pooled SpMV on large
+    // models). Batch, study and worker modes size their pools by --jobs.
     const SolveRequest request{
         want_mrr ? MeasureKind::kMrr : MeasureKind::kTrr, ts, eps};
-    const SolveReport report = solver->solve_grid(request);
+    ThreadPool pool(0);
+    SolveWorkspace workspace;
+    workspace.pool = &pool;
+    const SolveReport report = solver->solve_grid(request, workspace);
 
     TextTable table({"t", "value", "steps", "V-steps", "abscissae"});
     for (std::size_t i = 0; i < ts.size(); ++i) {
