@@ -103,15 +103,18 @@ int main(int argc, char** argv) {
     const double col_eps = eps * std::pow(10.0, 3.0 * c / std::max(1, cols));
     for (const MeasureKind measure :
          {MeasureKind::kTrr, MeasureKind::kMrr}) {
-      SweepScenario scenario;
-      scenario.model = "banded";
-      scenario.solver = "sr";
-      scenario.chain = &chain;
-      scenario.shared_solver = solver;
-      scenario.request.measure = measure;
-      scenario.request.times = grid;
-      scenario.request.epsilon = col_eps;
-      batch.scenarios.push_back(std::move(scenario));
+      SolveRequest request;
+      request.measure = measure;
+      request.times = grid;
+      request.epsilon = col_eps;
+      batch.scenarios.push_back(SweepScenario{.model = "banded",
+                                              .solver = "sr",
+                                              .chain = &chain,
+                                              .rewards = {},
+                                              .initial = {},
+                                              .config = {},
+                                              .request = std::move(request),
+                                              .shared_solver = solver});
     }
   }
 

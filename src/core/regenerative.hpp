@@ -27,11 +27,14 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "core/solver.hpp"
 #include "markov/ctmc.hpp"
 #include "markov/dtmc.hpp"
+#include "markov/poisson.hpp"
 
 namespace rrl {
 
@@ -97,8 +100,78 @@ struct RegenerativeSchema {
   }
 };
 
+/// The excursion series of one (chain, rewards, initial, r, rate_factor,
+/// step_cap), grown on demand and shared by every (t, eps) request.
+///
+/// The excursion recursion never reads t or eps: they only choose where
+/// the truncation stops (the first k whose bound meets eps_model, or the
+/// step cap). So the schema for any (t, eps) is an exact prefix of one
+/// longer series, and schema(t, eps) serves it by scanning the stored
+/// series with the same bound, stepping a chain only when the scan passes
+/// its stored end. The result is bitwise the schema a fresh computation
+/// builds; total stepping over any request sequence is max K + max L.
+///
+/// The randomized DTMC is built at the first step a request needs and
+/// released when the request returns, so an idle series holds only its
+/// series and resume vectors (a solver cache keeping many series alive
+/// does not keep a model-sized matrix per solver). The referenced chain,
+/// rewards and initial distribution must outlive the series. Not
+/// synchronized: callers sharing one series serialize on their own lock.
+class RegenerativeSeries {
+ public:
+  /// Preconditions as compute_regenerative_schema (checked here, so a bad
+  /// model fails at construction).
+  RegenerativeSeries(const Ctmc& chain, std::span<const double> rewards,
+                     std::span<const double> initial,
+                     index_t regenerative_state, double rate_factor = 1.0,
+                     std::int64_t step_cap = RegenerativeOptions{}.step_cap);
+
+  /// The schema for horizon t at total error budget eps: bitwise equal to
+  /// compute_regenerative_schema with the series' rate_factor and step cap.
+  /// Preconditions: t >= 0, eps > 0.
+  [[nodiscard]] RegenerativeSchema schema(double t, double eps);
+
+ private:
+  /// One chain's stored series plus its masked resume vector (the
+  /// surviving excursion mass after the last stored step).
+  struct Chain {
+    ExcursionSeries series;
+    std::vector<double> mu;
+  };
+
+  void start(Chain& chain, std::vector<double> mu) const;
+  /// The truncation index K for one chain, extending it as needed.
+  [[nodiscard]] std::int64_t truncation(Chain& chain,
+                                        const PoissonDistribution& poisson,
+                                        double eps_budget, bool& exact,
+                                        bool& capped);
+  void step(Chain& chain);
+
+  const Ctmc& chain_;
+  std::span<const double> rewards_;
+  std::vector<index_t> reward_idx_;
+  std::vector<index_t> absorbing_;
+  std::vector<double> f_rewards_;
+  index_t regenerative_ = 0;
+  double rate_factor_ = 1.0;
+  double lambda_ = 0.0;
+  double r_max_ = 0.0;
+  double alpha_r_ = 1.0;
+  std::int64_t step_cap_ = 0;
+  bool has_primed_ = false;
+  /// The DTMC and the step buffer, live only during a request that steps.
+  struct Stepper {
+    RandomizedDtmc dtmc;
+    std::vector<double> next;
+  };
+  std::optional<Stepper> stepper_;
+  Chain main_;
+  Chain primed_;
+};
+
 /// Compute the schema for time horizon t (the truncation criterion depends
-/// on t through the Poisson distribution of N(Lambda t)).
+/// on t through the Poisson distribution of N(Lambda t)): a one-shot
+/// RegenerativeSeries.
 /// Preconditions: structure per the paper (S strongly connected, f_i
 /// absorbing); r non-absorbing; rewards >= 0; initial a distribution.
 [[nodiscard]] RegenerativeSchema compute_regenerative_schema(

@@ -8,7 +8,6 @@
 
 #include <cstring>
 
-#include "core/compiled_artifact.hpp"
 #include "core/grid_sweep.hpp"
 #include "core/standard_randomization.hpp"
 #include "core/vmodel.hpp"
@@ -25,57 +24,25 @@ RegenerativeRandomization::RegenerativeRandomization(
     const Ctmc& chain, std::vector<double> rewards,
     std::vector<double> initial, index_t regenerative_state,
     RrOptions options)
-    : chain_(chain),
-      rewards_(std::move(rewards)),
+    : rewards_(std::move(rewards)),
       initial_(std::move(initial)),
-      regenerative_(regenerative_state),
-      options_(options) {
+      options_(options),
+      schemas_(chain, rewards_, initial_, regenerative_state,
+               options_.rate_factor, options_.schema_step_cap,
+               SchemaStore::Derived::kVModel) {
   RRL_EXPECTS(options_.epsilon > 0.0);
   RRL_EXPECTS(static_cast<index_t>(rewards_.size()) == chain.num_states());
   check_distribution(initial_, chain.num_states());
 }
 
-RegenerativeSchema RegenerativeRandomization::schema(double t) const {
-  return schema_with(t, options_.epsilon);
-}
-
-RegenerativeSchema RegenerativeRandomization::schema_with(double t,
-                                                          double eps) const {
-  RegenerativeOptions opts;
-  opts.epsilon = eps;
-  opts.rate_factor = options_.rate_factor;
-  opts.step_cap = options_.schema_step_cap;
-  return compute_regenerative_schema(chain_, rewards_, initial_,
-                                     regenerative_, t, opts);
-}
-
-std::shared_ptr<const CompiledSchema> RegenerativeRandomization::compiled_for(
-    double t, double eps) const {
-  return schema_cache_.get(t, eps, /*want_transform=*/false,
-                           /*want_vmodel=*/true,
-                           [&] { return schema_with(t, eps); });
-}
-
 void RegenerativeRandomization::export_compiled(
     CompiledArtifact& artifact) const {
-  for (const SchemaCache::Entry& e : schema_cache_.snapshot()) {
-    artifact.schemas.push_back(
-        ArtifactSchemaEntry{e.t, e.eps, e.compiled->schema});
-  }
+  schemas_.export_to(artifact);
 }
 
 void RegenerativeRandomization::import_compiled(
     const CompiledArtifact& artifact) {
-  for (const ArtifactSchemaEntry& e : artifact.schemas) {
-    // Structural sanity only (identity matching is the caller's job): a
-    // schema for another regenerative state or with an empty series can
-    // never be ours.
-    if (e.schema.regenerative != regenerative_ || e.schema.main.a.empty()) {
-      continue;
-    }
-    schema_cache_.seed(e.t, e.eps, e.schema, /*want_transform=*/false,
-                       /*want_vmodel=*/true);
-  }
+  schemas_.import_from(artifact);
 }
 
 TransientValue RegenerativeRandomization::trr(double t) const {
@@ -100,8 +67,9 @@ SolveReport RegenerativeRandomization::solve_grid(
   // within budget at every requested time. The compiled artifact (schema +
   // materialized V_{K,L}) is memoized per exact (t_max, eps) — repeated
   // sweeps over the same horizon (the other measure, another grid
-  // resolution, the study subsystem's shared solvers) pay the K model-sized
-  // steps and the V-model assembly once.
+  // resolution, the study subsystem's shared solvers) pay the V-model
+  // assembly once — and a new (t_max, eps) reads its schema off the
+  // solver's grown series, stepping only past the longest one served.
   const double t_max =
       *std::max_element(request.times.begin(), request.times.end());
   const auto compiled = compiled_for(t_max, eps);
@@ -210,10 +178,11 @@ void solve_rr_batch(std::span<const RrBatchItem> items, ThreadPool* pool) {
   // members' Poisson-mixture sweeps with the inner pass's exact truncation
   // rule. A compile failure fails every member of the group — identical to
   // what each per-scenario solve would have reported. Distinct groups
-  // compile concurrently on the pool (the schema memo builds outside its
-  // lock for exactly this; groups touch disjoint member slots), so a cold
-  // multi-schema batch keeps the compile-phase parallelism the scenario
-  // axis used to provide.
+  // compile concurrently on the pool (groups touch disjoint member slots).
+  // Groups of one solver share its grown series and serialize on it while
+  // it steps, so together they pay only the longest group's K + L steps;
+  // groups of different solvers, and the V-model assembly after each
+  // schema, still proceed in parallel.
   const auto compile_group = [&items](VGroup& g) {
     const Stopwatch compile_watch;
     try {

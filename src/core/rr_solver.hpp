@@ -63,21 +63,27 @@ class RegenerativeRandomization : public TransientSolver {
 
   /// Compile → execute split: RR's compiled state is the memoized
   /// (t, eps)-keyed schemas; the V_{K,L} model is re-derived
-  /// deterministically on import.
+  /// deterministically on import. The grown series behind the memo is not
+  /// exported.
   void export_compiled(CompiledArtifact& artifact) const override;
   void import_compiled(const CompiledArtifact& artifact) override;
 
   [[nodiscard]] TransientValue trr(double t) const;
   [[nodiscard]] TransientValue mrr(double t) const;
 
-  /// The schema computed for time horizon t (exposed for analysis).
-  [[nodiscard]] RegenerativeSchema schema(double t) const;
+  /// The schema for time horizon t (exposed for analysis), read off the
+  /// solver's grown series.
+  [[nodiscard]] RegenerativeSchema schema(double t) const {
+    return schemas_.schema(t, options_.epsilon);
+  }
 
   /// The compiled artifact (schema + materialized V-model) for horizon t
   /// at error budget eps, through the memo — the compile step of both
   /// solve_grid() and the batched V-solve below.
   [[nodiscard]] std::shared_ptr<const CompiledSchema> compiled_for(
-      double t, double eps) const;
+      double t, double eps) const {
+    return schemas_.compiled(t, eps);
+  }
 
   [[nodiscard]] const RrOptions& options() const noexcept {
     return options_;
@@ -86,20 +92,17 @@ class RegenerativeRandomization : public TransientSolver {
   /// Hit/miss accounting of the memoized schema artifact (see
   /// core/schema_cache.hpp).
   [[nodiscard]] SchemaCacheStats schema_cache_stats() const {
-    return schema_cache_.stats();
+    return schemas_.stats();
   }
 
  private:
-  [[nodiscard]] RegenerativeSchema schema_with(double t, double eps) const;
-
-  const Ctmc& chain_;
+  // Owned here and borrowed by schemas_ (declared after them).
   std::vector<double> rewards_;
   std::vector<double> initial_;
-  index_t regenerative_;
   RrOptions options_;
-  // Memoized compiled artifact; internally synchronized, so the solver
-  // remains shareable across concurrent solve_grid() calls.
-  SchemaCache schema_cache_;
+  // Grown series + memoized compiled artifacts; internally synchronized,
+  // so the solver remains shareable across concurrent solve_grid() calls.
+  SchemaStore schemas_;
 };
 
 /// One scenario of a batched RR execute: a solver (typically shared by

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/compiled_artifact.hpp"
 #include "laplace/error_control.hpp"
 #include "markov/poisson.hpp"
 #include "support/stopwatch.hpp"
@@ -15,11 +14,12 @@ RegenerativeRandomizationLaplace::RegenerativeRandomizationLaplace(
     const Ctmc& chain, std::vector<double> rewards,
     std::vector<double> initial, index_t regenerative_state,
     RrlOptions options)
-    : chain_(chain),
-      rewards_(std::move(rewards)),
+    : rewards_(std::move(rewards)),
       initial_(std::move(initial)),
-      regenerative_(regenerative_state),
-      options_(options) {
+      options_(options),
+      schemas_(chain, rewards_, initial_, regenerative_state,
+               options_.rate_factor, options_.schema_step_cap,
+               SchemaStore::Derived::kTransform) {
   RRL_EXPECTS(options_.epsilon > 0.0);
   RRL_EXPECTS(options_.t_multiplier > 0.0);
   // Checked here so a bad option fails at construction, not inside the
@@ -31,44 +31,14 @@ RegenerativeRandomizationLaplace::RegenerativeRandomizationLaplace(
   r_max_ = max_reward(rewards_);
 }
 
-RegenerativeSchema RegenerativeRandomizationLaplace::schema(double t) const {
-  return schema_with(t, options_.epsilon);
-}
-
-RegenerativeSchema RegenerativeRandomizationLaplace::schema_with(
-    double t, double eps) const {
-  RegenerativeOptions opts;
-  opts.epsilon = eps;
-  opts.rate_factor = options_.rate_factor;
-  opts.step_cap = options_.schema_step_cap;
-  return compute_regenerative_schema(chain_, rewards_, initial_,
-                                     regenerative_, t, opts);
-}
-
-std::shared_ptr<const CompiledSchema>
-RegenerativeRandomizationLaplace::compiled_schema(double t, double eps) const {
-  return schema_cache_.get(t, eps, /*want_transform=*/true,
-                           /*want_vmodel=*/false,
-                           [&] { return schema_with(t, eps); });
-}
-
 void RegenerativeRandomizationLaplace::export_compiled(
     CompiledArtifact& artifact) const {
-  for (const SchemaCache::Entry& e : schema_cache_.snapshot()) {
-    artifact.schemas.push_back(
-        ArtifactSchemaEntry{e.t, e.eps, e.compiled->schema});
-  }
+  schemas_.export_to(artifact);
 }
 
 void RegenerativeRandomizationLaplace::import_compiled(
     const CompiledArtifact& artifact) {
-  for (const ArtifactSchemaEntry& e : artifact.schemas) {
-    if (e.schema.regenerative != regenerative_ || e.schema.main.a.empty()) {
-      continue;
-    }
-    schema_cache_.seed(e.t, e.eps, e.schema, /*want_transform=*/true,
-                       /*want_vmodel=*/false);
-  }
+  schemas_.import_from(artifact);
 }
 
 TransientValue RegenerativeRandomizationLaplace::trr(double t) const {
@@ -135,7 +105,7 @@ RegenerativeRandomizationLaplace::trr_bounds(double t) const {
   Bounds b;
   if (r_max_ == 0.0) return b;
   const Stopwatch watch;
-  const auto compiled = compiled_schema(t, options_.epsilon);
+  const auto compiled = schemas_.compiled(t, options_.epsilon);
   const RegenerativeSchema& sch = compiled->schema;
   const TrrTransform& transform = *compiled->transform;
   TransientValue v = invert(transform, t, MeasureKind::kTrr,
@@ -163,7 +133,7 @@ RegenerativeRandomizationLaplace::mrr_bounds(double t) const {
   Bounds b;
   if (r_max_ == 0.0) return b;
   const Stopwatch watch;
-  const auto compiled = compiled_schema(t, options_.epsilon);
+  const auto compiled = schemas_.compiled(t, options_.epsilon);
   const RegenerativeSchema& sch = compiled->schema;
   const TrrTransform& transform = *compiled->transform;
   TransientValue v = invert(transform, t, MeasureKind::kMrr,
@@ -212,11 +182,11 @@ SolveReport RegenerativeRandomizationLaplace::solve_grid(
   // t < t_max the truncation bound at K(t_max) is only smaller
   // (E[(N(Lambda t) - K)^+] decreases in K), so the longer series remains
   // within budget at every requested time. The compiled artifact (schema +
-  // transform evaluator) is memoized per exact (t_max, eps), so repeated
-  // sweeps over the same horizon — the other measure, a different grid
-  // resolution, the study subsystem's shared solvers — pay the K model
-  // steps once.
-  const auto compiled = compiled_schema(t_max, eps);
+  // transform evaluator) is memoized per exact (t_max, eps), and a new
+  // (t_max, eps) reads its schema off the solver's grown series, so the
+  // K model steps are paid once per solver up to the longest horizon
+  // served, whatever the order of requests.
+  const auto compiled = schemas_.compiled(t_max, eps);
   const RegenerativeSchema& sch = compiled->schema;
   const TrrTransform& transform = *compiled->transform;
 

@@ -80,7 +80,8 @@ class RegenerativeRandomizationLaplace : public TransientSolver {
 
   /// Compile → execute split: RRL's compiled state is the memoized
   /// (t, eps)-keyed schemas; the transform evaluator is re-derived
-  /// deterministically on import.
+  /// deterministically on import. The grown series behind the memo is not
+  /// exported.
   void export_compiled(CompiledArtifact& artifact) const override;
   void import_compiled(const CompiledArtifact& artifact) override;
 
@@ -112,21 +113,20 @@ class RegenerativeRandomizationLaplace : public TransientSolver {
   [[nodiscard]] std::vector<TransientValue> mrr_many(
       std::span<const double> ts) const;
 
-  /// The schema computed for time horizon t (exposed for analysis and for
-  /// the ablation benches).
-  [[nodiscard]] RegenerativeSchema schema(double t) const;
+  /// The schema for time horizon t (exposed for analysis and for the
+  /// ablation benches), read off the solver's grown series.
+  [[nodiscard]] RegenerativeSchema schema(double t) const {
+    return schemas_.schema(t, options_.epsilon);
+  }
 
   /// Hit/miss accounting of the memoized schema+transform artifact (one
   /// compilation is shared by every solve over the same (t_max, eps); see
   /// core/schema_cache.hpp).
   [[nodiscard]] SchemaCacheStats schema_cache_stats() const {
-    return schema_cache_.stats();
+    return schemas_.stats();
   }
 
  private:
-  [[nodiscard]] RegenerativeSchema schema_with(double t, double eps) const;
-  [[nodiscard]] std::shared_ptr<const CompiledSchema> compiled_schema(
-      double t, double eps) const;
   [[nodiscard]] TransientValue invert(const TrrTransform& transform, double t,
                                       MeasureKind kind, double eps) const;
   [[nodiscard]] std::vector<TransientValue> solve_many(
@@ -134,15 +134,14 @@ class RegenerativeRandomizationLaplace : public TransientSolver {
   [[nodiscard]] double truncation_error_bound(const RegenerativeSchema& sch,
                                               double t) const;
 
-  const Ctmc& chain_;
+  // Owned here and borrowed by schemas_ (declared after them).
   std::vector<double> rewards_;
   std::vector<double> initial_;
-  index_t regenerative_;
   double r_max_ = 0.0;
   RrlOptions options_;
-  // Memoized compiled artifact; internally synchronized, so the solver
-  // remains shareable across concurrent solve_grid() calls.
-  SchemaCache schema_cache_;
+  // Grown series + memoized compiled artifacts; internally synchronized,
+  // so the solver remains shareable across concurrent solve_grid() calls.
+  SchemaStore schemas_;
 };
 
 }  // namespace rrl

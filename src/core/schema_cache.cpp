@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "core/compiled_artifact.hpp"
 #include "support/metrics.hpp"
 #include "support/trace.hpp"
 
@@ -146,6 +147,61 @@ SchemaCacheStats SchemaCache::stats() const {
 std::size_t SchemaCache::size() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return slots_.size();
+}
+
+SchemaStore::SchemaStore(const Ctmc& chain, std::span<const double> rewards,
+                         std::span<const double> initial,
+                         index_t regenerative_state, double rate_factor,
+                         std::int64_t step_cap, Derived derived)
+    : chain_(chain),
+      rewards_(rewards),
+      initial_(initial),
+      regenerative_(regenerative_state),
+      rate_factor_(rate_factor),
+      step_cap_(step_cap),
+      derived_(derived) {}
+
+RegenerativeSchema SchemaStore::schema(double t, double eps) const {
+  const std::lock_guard<std::mutex> lock(series_mutex_);
+  if (!series_) {
+    series_.emplace(chain_, rewards_, initial_, regenerative_, rate_factor_,
+                    step_cap_);
+  }
+  try {
+    return series_->schema(t, eps);
+  } catch (...) {
+    // A throw mid-extension (allocation failure) can leave the chains
+    // half-stepped; drop the series so the next request starts clean.
+    series_.reset();
+    throw;
+  }
+}
+
+std::shared_ptr<const CompiledSchema> SchemaStore::compiled(double t,
+                                                            double eps) const {
+  return memo_.get(t, eps, derived_ == Derived::kTransform,
+                   derived_ == Derived::kVModel,
+                   [&] { return schema(t, eps); });
+}
+
+void SchemaStore::export_to(CompiledArtifact& artifact) const {
+  for (const SchemaCache::Entry& e : memo_.snapshot()) {
+    artifact.schemas.push_back(
+        ArtifactSchemaEntry{e.t, e.eps, e.compiled->schema});
+  }
+}
+
+void SchemaStore::import_from(const CompiledArtifact& artifact) const {
+  for (const ArtifactSchemaEntry& e : artifact.schemas) {
+    // Structural sanity only (identity matching is the caller's job): a
+    // schema for another regenerative state or with an empty series can
+    // never be ours.
+    if (e.schema.regenerative != regenerative_ || e.schema.main.a.empty()) {
+      continue;
+    }
+    memo_.seed(e.t, e.eps, e.schema, derived_ == Derived::kTransform,
+               derived_ == Derived::kVModel);
+  }
 }
 
 }  // namespace rrl

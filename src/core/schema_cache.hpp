@@ -10,30 +10,35 @@
 // recomputes an identical artifact per request. SchemaCache memoizes it.
 //
 // Correctness contract: entries are keyed by the EXACT (t, eps) pair the
-// schema was computed for, never by dominance (a schema for a larger t
-// over-covers smaller horizons but is not the artifact a fresh solve would
-// build, and results must stay bit-identical to fresh-solver runs). The
-// builder is deterministic, so a hit returns bit-identical series, and the
-// derived V-model/transform are pure functions of the schema — which is
-// also why seed() can re-materialize them from a deserialized schema
-// (io/artifact_codec) without breaking bit-identity: warm-starting a
-// solver is pre-populating this memo.
+// schema was computed for. A schema for a larger t over-covers smaller
+// horizons but is not the artifact a fresh solve builds, so a key never
+// borrows another key's artifact. What is shared is the stepping: every
+// key's schema is a prefix of one grown RegenerativeSeries
+// (core/regenerative.hpp), and that prefix is bitwise the schema a fresh
+// computation builds. So a miss costs only the steps past the longest
+// series served so far, and results stay bit-identical to fresh-solver
+// runs. The derived V-model/transform are pure functions of the schema —
+// which is also why seed() can re-materialize them from a deserialized
+// schema (io/artifact_codec) without breaking bit-identity: warm-starting
+// a solver is pre-populating this memo.
 //
-// Threading: the cache is the only mutable state inside RR/RRL solvers and
-// is internally synchronized, preserving the solver layer's share-one-
-// instance-across-workers contract. A miss computes OUTSIDE the lock (two
-// workers missing the same key may both compute; the first insert wins and
-// the loser adopts it — identical by determinism), so concurrent misses on
-// different keys never serialize. The store is a small clock-stamped pool
-// (capacity entries, least recently used evicted) to bound memory: schemas
-// are O(K) series and only a handful of horizons are live in any real
-// sweep.
+// Threading: SchemaCache is internally synchronized, preserving the solver
+// layer's share-one-instance-across-workers contract. A miss computes
+// OUTSIDE the memo lock (two workers missing the same key may both
+// compute; the first insert wins and the loser adopts it — identical by
+// determinism), so derived-object assembly for different keys proceeds in
+// parallel; SchemaStore serializes only the series stepping, on its own
+// lock. The memo is a small clock-stamped pool (capacity entries, least
+// recently used evicted) to bound memory: schemas are O(K) series and only
+// a handful of horizons are live in any real sweep.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "core/regenerative.hpp"
@@ -41,6 +46,8 @@
 #include "core/vmodel.hpp"
 
 namespace rrl {
+
+struct CompiledArtifact;
 
 /// The compiled artifact: the schema plus the derived execute-side objects
 /// its owner asked for. `vmodel` is null for solvers that never asked for
@@ -129,6 +136,54 @@ class SchemaCache {
   mutable std::vector<Slot> slots_;
   mutable std::uint64_t clock_ = 0;
   mutable SchemaCacheStats stats_;
+};
+
+/// The one owner of a regenerative solver's compiled state: the grown
+/// RegenerativeSeries (behind a lock) plus the exact-key SchemaCache of
+/// derived artifacts, which is also the artifact export/import unit. RR
+/// and RRL each hold one. Nothing is built until the first request that
+/// misses the memo: a solver that only serves imported entries never
+/// constructs a DTMC or steps a chain.
+class SchemaStore {
+ public:
+  /// Which derived object each memo entry carries.
+  enum class Derived { kVModel, kTransform };
+
+  /// The store borrows chain, rewards and initial (the owning solver keeps
+  /// them alive). Model preconditions are checked when the series is first
+  /// built, i.e. at the first memo miss, exactly where a fresh schema
+  /// computation would check them.
+  SchemaStore(const Ctmc& chain, std::span<const double> rewards,
+              std::span<const double> initial, index_t regenerative_state,
+              double rate_factor, std::int64_t step_cap, Derived derived);
+
+  /// The schema for (t, eps), read off the series (not memoized).
+  [[nodiscard]] RegenerativeSchema schema(double t, double eps) const;
+
+  /// The compiled artifact for exactly (t, eps) through the memo; a miss
+  /// serves the schema from the series.
+  [[nodiscard]] std::shared_ptr<const CompiledSchema> compiled(
+      double t, double eps) const;
+
+  /// Append every memoized schema to `artifact` (least recently used
+  /// first).
+  void export_to(CompiledArtifact& artifact) const;
+  /// Seed the memo from `artifact`'s schemas for this regenerative state.
+  void import_from(const CompiledArtifact& artifact) const;
+
+  [[nodiscard]] SchemaCacheStats stats() const { return memo_.stats(); }
+
+ private:
+  const Ctmc& chain_;
+  std::span<const double> rewards_;
+  std::span<const double> initial_;
+  index_t regenerative_;
+  double rate_factor_;
+  std::int64_t step_cap_;
+  Derived derived_;
+  mutable std::mutex series_mutex_;
+  mutable std::optional<RegenerativeSeries> series_;
+  SchemaCache memo_;
 };
 
 }  // namespace rrl

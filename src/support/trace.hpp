@@ -60,6 +60,9 @@ class Span {
       detail::record(name_, start_us_, detail::now_us() - start_us_, arg_);
     }
   }
+  /// Replace the payload, for regions whose count is known only at the
+  /// end (steps taken, bytes moved).
+  void set_arg(std::uint64_t arg) noexcept { arg_ = arg; }
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 

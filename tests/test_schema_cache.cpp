@@ -1,14 +1,22 @@
 // SchemaCache behavior at the eviction boundaries (capacity 0, 1,
 // exactly-full, re-insert after evict), the hit/miss/seed accounting, and
 // the seed/snapshot round trip that carries compiled schemas across
-// processes (core of the artifact warm-start path).
+// processes (core of the artifact warm-start path). Then the solvers'
+// SchemaStore: laziness (an imported solver never steps a chain) and
+// concurrent requests on one shared series.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <vector>
 
+#include "core/compiled_artifact.hpp"
+#include "core/rr_solver.hpp"
+#include "core/rrl_solver.hpp"
 #include "core/schema_cache.hpp"
 #include "markov/ctmc.hpp"
+#include "support/metrics.hpp"
+#include "support/thread_pool.hpp"
 
 namespace rrl {
 namespace {
@@ -170,6 +178,94 @@ TEST(SchemaCache, SnapshotRoundTripsThroughSeed) {
   ASSERT_NE(compiled->vmodel, nullptr);
   EXPECT_EQ(compiled->vmodel->chain.num_states(),
             entries[0].compiled->vmodel->chain.num_states());
+}
+
+// ---------------------------------------------------------------------------
+// SchemaStore inside the RR/RRL solvers.
+
+const Ctmc& store_chain() {
+  static const Ctmc chain = Ctmc::from_transitions(
+      3, {{0, 1, 2e-3}, {1, 0, 1.0}, {1, 2, 1e-3}, {2, 0, 0.5}});
+  return chain;
+}
+const std::vector<double> kStoreRewards = {0.0, 0.0, 1.0};
+// Mass off r, so both the main and the primed chain are stepped.
+const std::vector<double> kStoreInitial = {0.6, 0.3, 0.1};
+
+bool same_value(double x, double y) {
+  return std::memcmp(&x, &y, sizeof(double)) == 0;
+}
+
+std::uint64_t schema_steps() {
+  return metrics::counter("rrl_schema_steps_total").value();
+}
+
+template <typename Solver>
+void expect_imported_solver_never_steps() {
+  const Solver donor(store_chain(), kStoreRewards, kStoreInitial, 0);
+  const double ts[] = {10.0, 1e3, 1e4};
+  for (const double t : ts) (void)donor.solve_point(t, MeasureKind::kTrr);
+  CompiledArtifact artifact;
+  donor.export_compiled(artifact);
+  ASSERT_EQ(artifact.schemas.size(), 3u);
+
+  Solver warm(store_chain(), kStoreRewards, kStoreInitial, 0);
+  warm.import_compiled(artifact);
+  const std::uint64_t before = schema_steps();
+  for (const double t : ts) {
+    const TransientValue got = warm.solve_point(t, MeasureKind::kTrr);
+    const TransientValue want = donor.solve_point(t, MeasureKind::kTrr);
+    EXPECT_TRUE(same_value(got.value, want.value)) << "t=" << t;
+    EXPECT_EQ(got.stats.dtmc_steps, want.stats.dtmc_steps);
+  }
+  EXPECT_EQ(schema_steps() - before, 0u);
+  EXPECT_EQ(warm.schema_cache_stats().misses, 0u);
+  EXPECT_EQ(warm.schema_cache_stats().seeded, 3u);
+}
+
+TEST(SchemaStore, ImportedRrSolverTakesNoSchemaSteps) {
+  expect_imported_solver_never_steps<RegenerativeRandomization>();
+}
+
+TEST(SchemaStore, ImportedRrlSolverTakesNoSchemaSteps) {
+  expect_imported_solver_never_steps<RegenerativeRandomizationLaplace>();
+}
+
+template <typename Solver>
+void expect_concurrent_requests_match_fresh() {
+  // Pairs of different (t, eps) requested at once from two pool threads;
+  // the later pairs extend the series the earlier ones grew.
+  struct Request {
+    double t;
+    double eps;
+  };
+  const Request pairs[][2] = {{{10.0, 1e-9}, {1e3, 1e-12}},
+                              {{1e4, 1e-10}, {100.0, 1e-12}},
+                              {{1e5, 1e-12}, {1e5, 1e-8}}};
+  ThreadPool pool(2);
+  const Solver shared(store_chain(), kStoreRewards, kStoreInitial, 0);
+  for (const auto& pair : pairs) {
+    TransientValue got[2];
+    pool.parallel_for(2, [&](std::size_t i) {
+      got[i] = shared.solve_point(pair[i].t, MeasureKind::kTrr, pair[i].eps);
+    });
+    for (std::size_t i = 0; i < 2; ++i) {
+      const Solver fresh(store_chain(), kStoreRewards, kStoreInitial, 0);
+      const TransientValue want =
+          fresh.solve_point(pair[i].t, MeasureKind::kTrr, pair[i].eps);
+      EXPECT_TRUE(same_value(got[i].value, want.value))
+          << "t=" << pair[i].t << " eps=" << pair[i].eps;
+      EXPECT_EQ(got[i].stats.dtmc_steps, want.stats.dtmc_steps);
+    }
+  }
+}
+
+TEST(SchemaStore, ConcurrentRrRequestsMatchFreshSolvers) {
+  expect_concurrent_requests_match_fresh<RegenerativeRandomization>();
+}
+
+TEST(SchemaStore, ConcurrentRrlRequestsMatchFreshSolvers) {
+  expect_concurrent_requests_match_fresh<RegenerativeRandomizationLaplace>();
 }
 
 }  // namespace
