@@ -12,6 +12,7 @@
 #include "markov/builder.hpp"
 #include "markov/lumping.hpp"
 #include "support/contracts.hpp"
+#include "support/trace.hpp"
 
 namespace rrl {
 namespace {
@@ -348,19 +349,23 @@ ModelFile generate_model(const std::string& family,
   const bool lump = p.get_flag("lump", false);
 
   ModelFile file;
-  if (family == "k_of_n") {
-    file = build_k_of_n(p);
-  } else if (family == "tiered_repair") {
-    file = build_tiered_repair(p);
-  } else if (family == "queue") {
-    file = build_queue(p);
-  } else {
-    std::string known;
-    for (const std::string& f : generator_families()) {
-      if (!known.empty()) known += ", ";
-      known += f;
+  {
+    trace::Span span("generator.expand");
+    if (family == "k_of_n") {
+      file = build_k_of_n(p);
+    } else if (family == "tiered_repair") {
+      file = build_tiered_repair(p);
+    } else if (family == "queue") {
+      file = build_queue(p);
+    } else {
+      std::string known;
+      for (const std::string& f : generator_families()) {
+        if (!known.empty()) known += ", ";
+        known += f;
+      }
+      gen_fail("unknown family '" + family + "' (known: " + known + ")");
     }
-    gen_fail("unknown family '" + family + "' (known: " + known + ")");
+    span.set_arg(static_cast<std::uint64_t>(file.chain.num_states()));
   }
   p.finish();
   const std::string spec = p.canonical();

@@ -12,23 +12,33 @@
 // eps-bounds then apply unchanged on the smaller chain).
 //
 // lump_model() computes the COARSEST such partition that also keeps
-// rewards block-constant, by classic partition refinement: start from
-// blocks of equal reward, then repeatedly split blocks whose members
-// disagree on their aggregate rates into the current blocks, until a
-// fixpoint. The fixpoint partition satisfies the lumpability condition by
-// construction, so the pass is exact for ANY input chain — a model with
-// no symmetry simply comes back with one block per state (no reduction,
-// no harm). On the generator families (markov/generator.hpp) whose groups
-// are exchangeable, the reduction is combinatorial: a k-of-n fleet of g
-// identical groups collapses from (n+1)^g ordered tuples to the
+// rewards block-constant, by partition refinement: start from blocks of
+// equal reward, then split every block whose members disagree on their
+// aggregate rates into the current blocks, round after round, until no
+// block splits. Each per-block aggregate is summed over that block's rates
+// in ascending order, so states whose rates form the same multiset of
+// doubles get bit-identical sums and block membership never hinges on
+// summation order. A round re-signs only the blocks that can split: those
+// that split in the round before and those holding a predecessor of one of
+// their members (a state whose own block and successors' blocks did not
+// change keeps its signature). The rounds compute exactly the partitions
+// a full re-signing would, so the result does not depend on this
+// bookkeeping. Cost: O(nnz log deg) set-up (rows sorted by rate, a
+// transpose index); per round O(deg log deg) per re-signed state plus the
+// in-degree of the members of the blocks that split; the number of rounds
+// is at most the number of blocks. The fixpoint satisfies the lumpability
+// condition by construction, so the pass is exact for ANY input chain — a
+// model with no symmetry simply comes back with one block per state (no
+// reduction, no harm). On the generator families (markov/generator.hpp)
+// whose groups are exchangeable, the reduction is combinatorial: a k-of-n
+// fleet of g identical groups collapses from (n+1)^g ordered tuples to the
 // C(n+g, g) multisets — orders of magnitude at the sizes this library
 // targets.
 //
 // Everything here is deterministic (blocks are numbered by their smallest
-// original state, refinement scans states in index order), which the
-// study subsystem relies on: remote workers re-expand and re-lump a
-// generated model from its spec and must land on the byte-identical
-// chain.
+// original state), which the study subsystem relies on: remote workers
+// re-expand and re-lump a generated model from its spec and must land on
+// the byte-identical chain.
 #pragma once
 
 #include <vector>
