@@ -4,9 +4,10 @@
 // Phase A (lumping): a symmetric k-of-n family is expanded once and lumped
 // (lump_model on the expanded chain, timed on its own), and the bench
 // ASSERTS (exit 1) that the exact lumping shrinks the chain by
-// >= --min-reduction (default 10x), then cross-checks TRR on the lumped chain (krylov and rr) against
-// the unlumped chain (sr) point by point within 2x the solve tolerance:
-// the reduction must be free of error, not just large.
+// >= --min-reduction (default 10x), then cross-checks TRR on the lumped
+// chain (krylov and rr) against the unlumped chain (sr) point by point
+// within 2x the solve tolerance: the reduction must be free of error, not
+// just large.
 //
 // Phase B (Krylov): a stiff M/M/c/K breakdown queue (service rate orders
 // of magnitude above the failure rate, so standard randomization burns
